@@ -14,7 +14,7 @@
 //	sknnbench -fig 2a -scale medium     # closer to paper sizes
 //	sknnbench -fig 2d -scale paper      # the paper's exact parameters (hours!)
 //
-// Figures: 2a 2b 2c 2d 2e 2f 3 qps index shard stream pack gateway sminn bob comm baselines all
+// Figures: 2a 2b 2c 2d 2e 2f 3 qps index shard pack gateway sminn bob comm baselines all
 //
 // "qps" (multi-query throughput), "index" (clustered secure index vs
 // full scan: QPS, recall, SMIN reduction), "shard" (scatter-gather
@@ -160,7 +160,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sknnbench: ")
 	var (
-		figFlag     = flag.String("fig", "all", "figure to regenerate: 2a 2b 2c 2d 2e 2f 3 qps index shard stream pack gateway sminn bob comm baselines all")
+		figFlag     = flag.String("fig", "all", "figure to regenerate: 2a 2b 2c 2d 2e 2f 3 qps index shard pack gateway sminn bob comm baselines all")
 		scaleFlag   = flag.String("scale", "small", "sweep preset: small | medium | paper")
 		workersFlag = flag.Int("workers", 0, "override Figure 3 / QPS worker count (0 = min(6, NumCPU))")
 		jsonFlag    = flag.String("json", "", "also write machine-readable BENCH_<fig>.json files into this directory")
@@ -194,7 +194,6 @@ func main() {
 		"qps":       b.qps,
 		"index":     b.index,
 		"shard":     b.shard,
-		"stream":    b.stream,
 		"pack":      b.pack,
 		"gateway":   b.gatewayFig,
 		"sminn":     b.sminnShare,
@@ -202,7 +201,7 @@ func main() {
 		"comm":      b.comm,
 		"baselines": b.baselines,
 	}
-	order := []string{"2a", "2b", "2c", "2d", "2e", "2f", "3", "qps", "index", "shard", "stream", "pack", "gateway", "sminn", "bob", "comm", "baselines"}
+	order := []string{"2a", "2b", "2c", "2d", "2e", "2f", "3", "qps", "index", "shard", "pack", "gateway", "sminn", "bob", "comm", "baselines"}
 
 	if *figFlag == "all" {
 		for _, name := range order {
@@ -647,102 +646,6 @@ func (b *bench) shard() error {
 	}
 	fmt.Printf("(target: stage-1 per-shard time shrinks ~linearly in S on ≥S cores — %d CPUs here;\n", runtime.NumCPU())
 	fmt.Println(" candidates/shard shows the exact n/S work split either way; recall must be 1.0)")
-	return nil
-}
-
-// stream is the PR 9 figure: the pipelined streaming gather versus the
-// classic serial barrier merge, sweeping the shard count S ∈ {1, 2, 4, 8}
-// at fixed n with Workers=2 per pool so link lending engages. Both
-// variants run in the same process over the same table and query, so the
-// merge walls are directly comparable. Six series per S:
-//
-//   - "streaming QPS" / "serial QPS": end-to-end queries per second;
-//   - "streaming merge (s)" / "serial merge (s)": the coordinator's
-//     post-gather wall. Serial gathers behind a barrier and then runs
-//     the whole s·k-candidate tournament; streaming folds arrivals into
-//     an incremental tournament while slower shards are still scanning,
-//     so only the tail fold lands after the last arrival;
-//   - "streaming recall" / "serial recall": against the plaintext
-//     oracle — exactness target 1.0 in every cell (the fold is the same
-//     SMIN protocol as the serial merge, never an approximation).
-//
-// S=1 is the degeneration row: streamingMergeOK declines single-shard
-// topologies, so both variants take the serial path and should read
-// identically (modulo timer noise).
-func (b *bench) stream() error {
-	const m, attrBits, k, keyBits = 2, 4, 3, 512
-	ns := map[string]int{"small": 48, "medium": 120, "paper": 240}
-	n := ns[b.sc.name]
-	tbl, err := dataset.Generate(int64(n*61+7), n, m, attrBits)
-	if err != nil {
-		return err
-	}
-	q := tbl.Rows[n/3]
-	oracle, err := plainknn.KDistances(tbl.Rows, q, k)
-	if err != nil {
-		return err
-	}
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("Stream: pipelined vs serial gather, SkNNm, n=%d, m=%d, k=%d, K=%d [scale=%s]",
-			n, m, k, keyBits, b.sc.name),
-		"shards", "QPS / s / recall (per series)")
-	qpsStream := fig.NewSeries("streaming QPS")
-	qpsSerial := fig.NewSeries("serial QPS")
-	mergeStream := fig.NewSeries("streaming merge (s)")
-	mergeSerial := fig.NewSeries("serial merge (s)")
-	recallStream := fig.NewSeries("streaming recall")
-	recallSerial := fig.NewSeries("serial recall")
-	var mergeAtMax [2]float64 // [streaming, serial] merge wall at the widest S
-	for _, s := range []int{1, 2, 4, 8} {
-		for _, serial := range []bool{false, true} {
-			sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{
-				Key: b.key(keyBits), Shards: s, Workers: 2,
-				DisableStreamingMerge: serial,
-			})
-			if err != nil {
-				return err
-			}
-			var sm *sknn.SecureMetrics
-			var rows [][]uint64
-			d, err := benchkit.Timed(func() error {
-				var err error
-				rows, sm, err = querySecureMetered(sys, q, k)
-				return err
-			})
-			sys.Close()
-			if err != nil {
-				return fmt.Errorf("S=%d serial=%v: %w", s, serial, err)
-			}
-			rec := recallOf(rows, q, oracle)
-			if serial {
-				qpsSerial.Add(float64(s), 1/d.Seconds())
-				mergeSerial.Add(float64(s), benchkit.Seconds(sm.Merge))
-				recallSerial.Add(float64(s), rec)
-			} else {
-				qpsStream.Add(float64(s), 1/d.Seconds())
-				mergeStream.Add(float64(s), benchkit.Seconds(sm.Merge))
-				recallStream.Add(float64(s), rec)
-			}
-			variant := "streaming"
-			if serial {
-				variant = "serial   "
-			}
-			fmt.Printf("  S=%d %s  %7.2fs query  scatter %6.3fs  merge %6.3fs (reveal %6.3fs)  recall %.2f\n",
-				s, variant, d.Seconds(), benchkit.Seconds(sm.Scatter), benchkit.Seconds(sm.Merge), benchkit.Seconds(sm.Reveal), rec)
-			if s == 8 {
-				if serial {
-					mergeAtMax[1] = benchkit.Seconds(sm.Merge)
-				} else {
-					mergeAtMax[0] = benchkit.Seconds(sm.Merge)
-				}
-			}
-		}
-	}
-	if err := b.emit(fig, "stream"); err != nil {
-		return err
-	}
-	fmt.Printf("(merge wall at S=8: streaming %.3fs vs serial %.3fs — %.1f×; target ≥2×, recall 1.0 every cell)\n",
-		mergeAtMax[0], mergeAtMax[1], mergeAtMax[1]/mergeAtMax[0])
 	return nil
 }
 

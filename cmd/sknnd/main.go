@@ -36,14 +36,12 @@
 //	    link pool to C2, and serves shard-local encrypted top-k lists to
 //	    coordinators.
 //
-//	sknnd coord -shards host:7101,host:7102 -connect host:7002 -q 1,2,3 -k 5 [-mode secure] [-serial-merge]
+//	sknnd coord -shards host:7101,host:7102 -connect host:7002 -q 1,2,3 -k 5 [-mode secure]
 //	    The scatter-gather coordinator (playing Bob as well): scatters
-//	    each query to every shard, folds shard results into a streaming
-//	    value-domain merge over its own C2 links as each scan lands, and
-//	    unmasks the exact global top-k. -serial-merge gathers behind a
-//	    barrier instead (the ablation/differential topology; identical
-//	    answers by construction). Listing the same shard's replicas as
-//	    separate addresses groups them into a failover set.
+//	    each query to every shard, waits for every shard result, merges
+//	    them in one value-domain selection over its own C2 links, and
+//	    unmasks the exact global top-k. Listing the same shard's replicas
+//	    as separate addresses groups them into a failover set.
 //
 // Two more subcommands deploy the multi-tenant serving tier:
 //
@@ -498,7 +496,6 @@ func cmdCoord(args []string) {
 	workers := fs.Int("workers", 1, "parallel merge connections to C2")
 	coverage := fs.Float64("coverage", 4, "per-shard candidate-pool factor on clustered shards")
 	timeout := fs.Duration("timeout", 0, "per-query deadline; 0 = none. Expiry cancels every outstanding shard scan")
-	serialMerge := fs.Bool("serial-merge", false, "gather behind a barrier and merge serially instead of the pipelined streaming fold (ablation/differential topology)")
 	c2Token := fs.String("c2-token", "", "pre-shared token the C2 listener requires")
 	shardToken := fs.String("shard-token", "", "pre-shared token the shard listeners require")
 	fs.Parse(args)
@@ -557,7 +554,6 @@ func cmdCoord(args []string) {
 		log.Fatal(err)
 	}
 	defer coord.Close()
-	coord.SetStreaming(!*serialMerge)
 	bob := core.NewClient(pk, nil)
 	target := 0
 	if clustered {

@@ -29,12 +29,11 @@ type linkPool struct {
 	mu        sync.Mutex
 	links     []*mpc.Multiplexer
 	load      []int          // guarded by mu; open sessions per link, for least-loaded placement
-	lent      []bool         // guarded by mu; links on loan to another pool's session (see lend)
 	active    int            // guarded by mu; open query sessions
 	closed    bool           // guarded by mu
 	closeDone chan struct{}  // closed when teardown has fully finished
 	closeErr  error          // valid once closeDone is closed
-	drain     sync.WaitGroup // one unit per open session and per lent link
+	drain     sync.WaitGroup // one unit per open session
 }
 
 // newLinkPool wraps the connections in tagged-stream multiplexers.
@@ -47,7 +46,6 @@ func newLinkPool(conns []mpc.Conn, random io.Reader) (*linkPool, error) {
 		tuning:    smc.DefaultTuning(),
 		links:     make([]*mpc.Multiplexer, len(conns)),
 		load:      make([]int, len(conns)),
-		lent:      make([]bool, len(conns)),
 		closeDone: make(chan struct{}),
 	}
 	for i, conn := range conns {
@@ -107,11 +105,7 @@ func (p *linkPool) lease(ctx context.Context, width int) ([]int, error) {
 	if p.closed {
 		return nil, ErrCloudClosed
 	}
-	// Width planning counts only links the pool still owns: a link on
-	// loan to another pool's session (see lend) is invisible here, so a
-	// lease can neither land on it nor be sized as if it were free.
-	avail := p.availLocked()
-	w := avail
+	w := len(p.links)
 	if width > 0 {
 		if width < w {
 			w = width
@@ -120,7 +114,7 @@ func (p *linkPool) lease(ctx context.Context, width int) ([]int, error) {
 		// Auto width: split the pool evenly over the sessions that would
 		// be open, so an idle pool gives one query full fan-out while
 		// arrivals under load narrow toward one link per query.
-		w = avail / (p.active + 1)
+		w = len(p.links) / (p.active + 1)
 	}
 	if w < 1 {
 		w = 1
@@ -135,81 +129,14 @@ func (p *linkPool) lease(ctx context.Context, width int) ([]int, error) {
 }
 
 // leastLoadedLocked picks the w least-loaded link indices (ties by index, so
-// placement is deterministic). Lent links are excluded entirely — their
-// load stays frozen at zero while on loan, so counting them would make
-// them look permanently idle and double-book a link two pools are
-// using. Caller holds p.mu.
+// placement is deterministic). Caller holds p.mu.
 func (p *linkPool) leastLoadedLocked(w int) []int {
-	idx := make([]int, 0, len(p.links))
-	for i := range p.links {
-		if !p.lent[i] {
-			idx = append(idx, i)
-		}
+	idx := make([]int, len(p.links))
+	for i := range idx {
+		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return p.load[idx[a]] < p.load[idx[b]] })
-	if w > len(idx) {
-		w = len(idx)
-	}
 	return idx[:w]
-}
-
-// availLocked counts the links not currently on loan. Caller holds p.mu.
-func (p *linkPool) availLocked() int {
-	n := 0
-	for i := range p.links {
-		if !p.lent[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// lend donates up to max idle links (zero load, not already lent) to a
-// borrower — the streaming coordinator's merge session, once this
-// pool's shard scan has finished — and returns their indices plus the
-// multiplexers to open streams on. At least one link always stays home
-// so the pool can serve its own next lease, and Close waits for every
-// loan to be reclaimed (each holds one drain unit). The borrowed
-// multiplexers are safe for concurrent streams; what the loan reserves
-// is scheduling capacity, not the transport.
-func (p *linkPool) lend(max int) ([]int, []*mpc.Multiplexer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || max <= 0 {
-		return nil, nil
-	}
-	avail := p.availLocked()
-	var idx []int
-	var links []*mpc.Multiplexer
-	for i := range p.links {
-		if len(idx) >= max || avail <= 1 {
-			break
-		}
-		if p.lent[i] || p.load[i] != 0 {
-			continue
-		}
-		p.lent[i] = true
-		avail--
-		idx = append(idx, i)
-		links = append(links, p.links[i])
-	}
-	p.drain.Add(len(idx))
-	return idx, links
-}
-
-// reclaim returns lent links to the pool's own scheduler. Pass exactly
-// the indices lend handed out; the caller must have closed any streams
-// it opened on them first.
-func (p *linkPool) reclaim(idx []int) {
-	if len(idx) == 0 {
-		return
-	}
-	p.mu.Lock()
-	for _, i := range idx {
-		p.lent[i] = false
-	}
-	p.mu.Unlock()
-	p.drain.Add(-len(idx))
 }
 
 // open opens one tagged stream on link slot i, bound to the session's

@@ -264,25 +264,6 @@ func GroupReplicas(workers []Shard) ([]Shard, error) {
 	return out, nil
 }
 
-// localLike reports whether a shard's scan burns this process's CPUs —
-// a LocalShard, or a replica set dispatching to local workers. The
-// streaming gather throttles such shards to GOMAXPROCS concurrent
-// scans; remote workers burn their own machine's CPUs and are never
-// throttled.
-func localLike(sh Shard) bool {
-	switch s := sh.(type) {
-	case *LocalShard:
-		return true
-	case *ReplicaSet:
-		for _, r := range s.replicas {
-			if localLike(r) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ReplicaStats snapshots the failover state of every replicated shard
 // in the coordinator's partition (un-replicated shards contribute
 // nothing).

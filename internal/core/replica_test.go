@@ -211,24 +211,6 @@ func TestGroupReplicas(t *testing.T) {
 	}
 }
 
-func TestLocalLike(t *testing.T) {
-	local := &LocalShard{}
-	remoteish := &stubShard{info: ShardInfo{Index: 0, Count: 1, N: 1, M: 2, FeatureM: 2}}
-	if !localLike(local) {
-		t.Error("LocalShard not localLike")
-	}
-	if localLike(remoteish) {
-		t.Error("non-local shard reported localLike")
-	}
-	rs, err := NewReplicaSet([]Shard{remoteish, remoteish})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if localLike(rs) {
-		t.Error("remote replica set reported localLike")
-	}
-}
-
 // replicatedSystem is the in-process mirror of an R-way replicated
 // sharded deployment, with per-replica kill switches that sever a
 // worker's connections abruptly — the crash case, not a graceful drain.

@@ -470,7 +470,7 @@ func (s *QuerySession) candidateBits(q EncryptedQuery, domainBits int, idx []int
 // extracted record — the composed value each round produces anyway —
 // which is what lets a shard ship rank-ordered encrypted candidates
 // upward without ever decrypting a distance, and lets the coordinator
-// fold shard result sets into further selections. bits is mutated in
+// run this same selection over them. bits is mutated in
 // place (the disqualification of step 3(e)); pass a copy to keep the
 // originals. On value-domain sessions bits may be nil as long as seed
 // is provided — the selection never touches bit vectors then. seed,
@@ -770,7 +770,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 // for the value codec) decompose the gathered distances first and run
 // the bit-vector engine — the differential oracle for the value path.
 // The returned candidates are rank-ordered and carry fresh E(dmin)
-// values, so a fold's output can feed the next fold.
+// values.
 func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	n := len(cands)
 	records := make([][]*paillier.Ciphertext, n)

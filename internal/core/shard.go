@@ -19,10 +19,8 @@ import (
 // distance for SkNNb. Shipping candidates instead of results is what
 // makes the scatter-gather exact: the coordinator re-runs the selection
 // protocol over s·k candidates rather than trusting any shard-local
-// ordering. SkNNm candidates used to carry the [dmin] bit decomposition
-// for the coordinator's bit-vector merge; the value-domain merge
-// consumes composed values directly, so the l-ciphertext vector is gone
-// from the struct and from the OpShardTopK frame.
+// ordering. Candidates carry composed values only, never bit vectors:
+// the merge decomposes them itself when its session needs bits.
 type Candidate struct {
 	Dist *paillier.Ciphertext // E(d), the candidate's composed distance
 	Rec  EncryptedRecord
@@ -115,25 +113,12 @@ type ShardedC1 struct {
 	pk     *paillier.PublicKey
 	m      int
 	featM  int
-	// streaming selects the pipelined gather (stream.go): shard results
-	// fold into the merge as they arrive instead of behind a barrier.
-	// On by default; SetStreaming(false) restores the serial merge — the
-	// differential oracle — and single-shard or packing-off deployments
-	// fall back to it automatically.
-	streaming bool
 }
 
 // SetTuning selects the smc protocol variant for the coordinator's own
 // merge sessions. Shard workers carry their own tuning (a LocalShard's
 // via its CloudC1; a remote shard's is server-side configuration).
 func (c *ShardedC1) SetTuning(t smc.Tuning) { c.pool.tuning = t }
-
-// SetStreaming toggles the pipelined streaming gather (on by default).
-// Call before queries start; the knob is not synchronized.
-func (c *ShardedC1) SetStreaming(on bool) { c.streaming = on }
-
-// Streaming reports whether the pipelined gather is enabled.
-func (c *ShardedC1) Streaming() bool { return c.streaming }
 
 // Tuning reports the merge sessions' protocol variant.
 func (c *ShardedC1) Tuning() smc.Tuning { return c.pool.tuning }
@@ -182,7 +167,7 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 	if err != nil {
 		return fail(err)
 	}
-	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, m: m, featM: featM, streaming: true}
+	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, m: m, featM: featM}
 	if err := pool.handshake(pk.N); err != nil {
 		for _, link := range pool.links {
 			link.Close()
@@ -312,9 +297,6 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 	}
 	if domainBits < 1 || domainBits > 512 {
 		return nil, nil, fmt.Errorf("%w: l=%d", ErrDomainBits, domainBits)
-	}
-	if c.streamingMergeOK(domainBits) {
-		return c.secureQueryStreaming(ctx, q, k, domainBits, target)
 	}
 	metrics := &SecureMetrics{}
 	start := time.Now()

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sknn/internal/dataset"
 	"sknn/internal/mpc"
@@ -18,6 +21,14 @@ import (
 // shard behind the coordinator↔shard wire protocol over channel pipes
 // instead of direct LocalShard calls.
 func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, remote bool) (*ShardedC1, *Client) {
+	t.Helper()
+	return newWrappedSharded(t, tbl, shards, workers, remote, nil)
+}
+
+// newWrappedSharded is newShardedSystem with every shard worker passed
+// through wrap (when non-nil) before the coordinator is wired, so tests
+// can inject failures, blocks and completion signals into the scatter.
+func newWrappedSharded(t *testing.T, tbl *dataset.Table, shards, workers int, remote bool, wrap func(int, Shard) Shard) (*ShardedC1, *Client) {
 	t.Helper()
 	sk := testKey()
 	if err := tbl.Validate(); err != nil {
@@ -50,6 +61,7 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 	}
 	c1s := make([]*CloudC1, shards)
 	workersList := make([]Shard, shards)
+	var remotes []*RemoteShard
 	for i, part := range parts {
 		shardTable, err := RestoreTable(&sk.PublicKey, part)
 		if err != nil {
@@ -77,8 +89,12 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 				t.Fatal(err)
 			}
 			workersList[i] = rs
+			remotes = append(remotes, rs)
 		} else {
 			workersList[i] = &LocalShard{C1: c1s[i], Index: i, Count: shards}
+		}
+		if wrap != nil {
+			workersList[i] = wrap(i, workersList[i])
 		}
 	}
 	coord, err := NewShardedC1(workersList, newConns(workers), &sk.PublicKey, nil)
@@ -89,10 +105,8 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 		if err := coord.Close(); err != nil {
 			t.Errorf("closing coordinator: %v", err)
 		}
-		if remote {
-			for _, w := range workersList {
-				w.(*RemoteShard).Close()
-			}
+		for _, rs := range remotes {
+			rs.Close()
 		}
 		for _, c1 := range c1s {
 			if err := c1.Close(); err != nil {
@@ -142,7 +156,7 @@ func TestShardedSecureMatchesOracle(t *testing.T) {
 	}
 	l := dataset.DomainBits(attrBits, m)
 	q := []uint64{7, 3}
-	for _, shards := range []int{2, 3} {
+	for _, shards := range []int{1, 2, 3} {
 		coord, bob := newShardedSystem(t, tbl, shards, 1, false)
 		eq, err := bob.EncryptQuery(q)
 		if err != nil {
@@ -464,5 +478,176 @@ func TestInsertWithID(t *testing.T) {
 	}
 	if id != 10 {
 		t.Errorf("Insert assigned id %d, want 10", id)
+	}
+}
+
+// gateShard wraps a Shard with test hooks: an injected failure, a block
+// that holds the scan until the query context dies, and a completion
+// signal for sequencing mid-scatter events.
+type gateShard struct {
+	Shard
+	fail     error       // returned instead of scanning
+	blockCtx atomic.Bool // while set, park until ctx is done, then report its error
+	doneOnce sync.Once
+	done     chan struct{} // closed when a scan completes (if non-nil)
+}
+
+func (g *gateShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
+	if g.fail != nil {
+		return nil, nil, g.fail
+	}
+	if g.blockCtx.Load() {
+		<-ctx.Done()
+		return nil, nil, ctxErr(ctx)
+	}
+	cands, sm, err := g.Shard.TopK(ctx, q, k, domainBits, target, secure)
+	if g.done != nil && err == nil {
+		g.doneOnce.Do(func() { close(g.done) })
+	}
+	return cands, sm, err
+}
+
+// TestShardedDeadShard: one shard failing outright must surface its own
+// error — not the knock-on ErrCanceled the healthy shards report after
+// the scatter-wide cancel, and not a deadlock.
+func TestShardedDeadShard(t *testing.T) {
+	const attrBits, m, n, k = 4, 2, 12, 3
+	tbl, err := dataset.Generate(821, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := dataset.DomainBits(attrBits, m)
+	errDead := errors.New("shard hardware on fire")
+	coord, bob := newWrappedSharded(t, tbl, 3, 1, false, func(i int, s Shard) Shard {
+		if i == 1 {
+			return &gateShard{Shard: s, fail: errDead}
+		}
+		return s
+	})
+	eq, err := bob.EncryptQuery([]uint64{5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errDead) {
+			t.Fatalf("err = %v, want the dead shard's failure", err)
+		}
+		if errors.Is(err, ErrCanceled) {
+			t.Fatalf("dead shard reported as cancellation: %v", err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("query with a dead shard never returned")
+	}
+}
+
+// TestShardedMidScanCancel cancels after the first shard has finished
+// but while the second is still parked in its scan: the query must
+// return ErrCanceled promptly instead of waiting on the parked shard,
+// and the coordinator must stay usable.
+func TestShardedMidScanCancel(t *testing.T) {
+	const attrBits, m, n, k = 4, 2, 12, 3
+	tbl, err := dataset.Generate(823, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := dataset.DomainBits(attrBits, m)
+	first := make(chan struct{})
+	var parked *gateShard
+	coord, bob := newWrappedSharded(t, tbl, 2, 1, false, func(i int, s Shard) Shard {
+		if i == 0 {
+			return &gateShard{Shard: s, done: first}
+		}
+		parked = &gateShard{Shard: s}
+		parked.blockCtx.Store(true)
+		return parked
+	})
+	q := []uint64{3, 9}
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := coord.SecureQueryMetered(ctx, eq, k, l, 0)
+		done <- err
+	}()
+	select {
+	case <-first:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("first shard never finished")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("canceled query never returned")
+	}
+
+	parked.blockCtx.Store(false)
+	res, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+	if err != nil {
+		t.Fatalf("follow-up query after cancel: %v", err)
+	}
+	rows, err := bob.Unmask(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardOracleCheck(t, tbl.Rows, rows, q, k)
+}
+
+// TestShardedConcurrentQueries drives overlapping SkNNm queries on one
+// coordinator, so -race sees shard and merge sessions interleave on the
+// shared link pools.
+func TestShardedConcurrentQueries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("many protocol rounds; skipped in -short")
+	}
+	const attrBits, m, n, k = 4, 2, 12, 2
+	tbl, err := dataset.Generate(829, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := dataset.DomainBits(attrBits, m)
+	coord, bob := newShardedSystem(t, tbl, 2, 2, false)
+	const queries = 4
+	qs := make([][]uint64, queries)
+	rows := make([][][]uint64, queries)
+	errs := make([]error, queries)
+	var wg sync.WaitGroup
+	for i := range qs {
+		qs[i] = []uint64{uint64(i * 3 % 16), uint64(15 - i)}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			eq, err := bob.EncryptQuery(qs[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			rows[i], errs[i] = bob.Unmask(res)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent query %d: %v", i, err)
+		}
+		shardOracleCheck(t, tbl.Rows, rows[i], qs[i], k)
 	}
 }

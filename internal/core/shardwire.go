@@ -34,11 +34,10 @@ import (
 // patterns anyway; the id lets the coordinator name the merged results
 // for Bob). Secure candidates are obliviously extracted — not even the
 // shard knows which record one holds — so no id travels. Secure
-// candidates carry the composed encrypted distance, not the l-ciphertext
-// bit vector the merge used to consume: the coordinator's value-domain
-// tournament compares composed values directly, shrinking the reply from
-// m+l to m+1 ciphertexts per candidate, and the serial-merge fallback
-// re-decomposes coordinator-side when it must.
+// candidates carry the composed encrypted distance, not its l-ciphertext
+// bit vector, so a reply costs m+1 ciphertexts per candidate: the
+// coordinator's value-domain merge compares composed values directly,
+// and without packing mergeCandidates decomposes them itself.
 
 // RemoteShard drives one shard worker over a connection. It implements
 // Shard; the static shape is cached from the dial-time hello and the

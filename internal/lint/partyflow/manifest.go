@@ -64,7 +64,6 @@ var Manifest = map[string]string{
 	"sknn/internal/core/shard.go":     RoleC1,
 	"sknn/internal/core/shardwire.go": RoleC1,
 	"sknn/internal/core/split.go":     RoleC1,
-	"sknn/internal/core/stream.go":    RoleC1,
 	"sknn/internal/core/table.go":     RoleC1,
 
 	// The gateway is C1-side serving infrastructure: it relays encrypted

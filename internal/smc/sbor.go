@@ -35,24 +35,3 @@ func (rq *Requester) SBORBatch(o1s, o2s []*paillier.Ciphertext) ([]*paillier.Cip
 	}
 	return out, nil
 }
-
-// SBXOR computes E(o₁⊕o₂) = E(o₁ + o₂ − 2·o₁o₂); not used by SkNN itself
-// (SMIN inlines the formula) but part of the primitive toolbox and
-// exercised by tests.
-func (rq *Requester) SBXOR(o1, o2 *paillier.Ciphertext) (*paillier.Ciphertext, error) {
-	and, err := rq.SM(o1, o2)
-	if err != nil {
-		return nil, fmt.Errorf("smc: SBXOR product: %w", err)
-	}
-	return rq.pk.Add(rq.pk.Add(o1, o2), rq.pk.ScalarMulInt64(and, -2)), nil
-}
-
-// SBAND computes E(o₁∧o₂), which for bits is exactly SM.
-func (rq *Requester) SBAND(o1, o2 *paillier.Ciphertext) (*paillier.Ciphertext, error) {
-	return rq.SM(o1, o2)
-}
-
-// SBNOT computes E(¬o) = E(1−o) locally — no interaction needed.
-func (rq *Requester) SBNOT(o *paillier.Ciphertext) *paillier.Ciphertext {
-	return rq.pk.AddPlain(rq.pk.Neg(o), oneBig)
-}

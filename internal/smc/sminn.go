@@ -11,11 +11,6 @@ import (
 // halves the number of live values by pairwise SMIN, so ⌈log₂ n⌉
 // iterations and n−1 SMIN invocations total. Only C1 learns the output;
 // neither party learns any dᵢ or which input won.
-//
-// The tournament shape matters for latency, not operation count: a chain
-// (SMINnChain) also needs n−1 SMINs but its critical path is n−1
-// sequential rounds instead of ⌈log₂ n⌉ levels. The ablation bench
-// BenchmarkAblationSMINnTreeVsChain quantifies the difference.
 func (rq *Requester) SMINn(ds [][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
 	if err := validateBitVectors(ds); err != nil {
 		return nil, err
@@ -37,23 +32,6 @@ func (rq *Requester) SMINn(ds [][]*paillier.Ciphertext) ([]*paillier.Ciphertext,
 		live = next
 	}
 	return live[0], nil
-}
-
-// SMINnChain is the sequential-fold variant kept for the ablation:
-// min(d₁,…,d_n) = SMIN(…SMIN(SMIN(d₁,d₂),d₃)…,d_n).
-func (rq *Requester) SMINnChain(ds [][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if err := validateBitVectors(ds); err != nil {
-		return nil, err
-	}
-	acc := ds[0]
-	for i := 1; i < len(ds); i++ {
-		m, err := rq.SMIN(acc, ds[i])
-		if err != nil {
-			return nil, fmt.Errorf("smc: SMINnChain step %d: %w", i, err)
-		}
-		acc = m
-	}
-	return acc, nil
 }
 
 func validateBitVectors(ds [][]*paillier.Ciphertext) error {

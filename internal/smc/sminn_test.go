@@ -80,22 +80,6 @@ func TestSMINnDuplicateMinima(t *testing.T) {
 	}
 }
 
-func TestSMINnChainMatchesTree(t *testing.T) {
-	rq, sk := pair(t)
-	vals := []uint64{33, 20, 58, 41, 6, 50, 27}
-	tree, err := rq.SMINn(encBitsMany(t, sk, 6, vals...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := rq.SMINnChain(encBitsMany(t, sk, 6, vals...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := decBits(t, sk, tree), decBits(t, sk, chain); a != b || a != 6 {
-		t.Errorf("tree = %d, chain = %d, want both 6", a, b)
-	}
-}
-
 func TestSMINnValidation(t *testing.T) {
 	rq, sk := pair(t)
 	if _, err := rq.SMINn(nil); !errors.Is(err, ErrEmptyInput) {
@@ -104,9 +88,6 @@ func TestSMINnValidation(t *testing.T) {
 	ragged := [][]*paillier.Ciphertext{encBits(t, sk, 1, 3), encBits(t, sk, 1, 4)}
 	if _, err := rq.SMINn(ragged); !errors.Is(err, ErrLengthMismatch) {
 		t.Errorf("ragged error = %v", err)
-	}
-	if _, err := rq.SMINnChain(nil); !errors.Is(err, ErrEmptyInput) {
-		t.Errorf("chain empty error = %v", err)
 	}
 }
 

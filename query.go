@@ -12,8 +12,7 @@ import (
 // This file is the v2 query surface: one context-aware, options-based
 // entry point per shape (Query for a single query, QueryBatch for a
 // slice), replacing the five positional-argument v1 variants. See
-// docs/API.md for the v1→v2 migration table; the v1 metered methods
-// survive as deprecated wrappers in deprecated.go.
+// docs/API.md for the v1→v2 migration table.
 
 // Typed query errors. ErrClosed (sknn.go) completes the set.
 var (

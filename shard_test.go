@@ -2,12 +2,11 @@ package sknn
 
 import (
 	"bytes"
-	"sort"
+	"context"
 	"sync"
 	"testing"
 
 	"sknn/internal/dataset"
-	"sknn/internal/plainknn"
 	"sknn/internal/store"
 )
 
@@ -45,10 +44,11 @@ func TestShardedQueryMatchesOracle(t *testing.T) {
 				}
 			}
 			// Metered path reports the scatter-gather shape.
-			_, sm, err := sys.QuerySecureMetered(queries[0], k)
+			res, err := sys.Query(context.Background(), queries[0], WithK(k))
 			if err != nil {
 				t.Fatal(err)
 			}
+			sm := res.Metrics.Secure
 			if sm.Shards != shards {
 				t.Errorf("SecureMetrics.Shards = %d, want %d", sm.Shards, shards)
 			}
@@ -337,9 +337,9 @@ func TestShardedSaveLoadEquality(t *testing.T) {
 	oracleCheck(t, tbl.Rows, got, q, k)
 }
 
-// TestShardedBatchMetered covers the QueryBatchMetered satellite on a
-// sharded system: per-query metrics arrive for every entry and carry
-// the scatter-gather counters.
+// TestShardedBatchMetered covers QueryBatch metrics on a sharded
+// system: per-query metrics arrive for every entry and carry the
+// scatter-gather counters.
 func TestShardedBatchMetered(t *testing.T) {
 	const attrBits, k = 4, 2
 	tbl, err := dataset.Generate(551, 12, 2, attrBits)
@@ -352,14 +352,15 @@ func TestShardedBatchMetered(t *testing.T) {
 	}
 	defer sys.Close()
 	queries := [][]uint64{{1, 2}, {9, 9}, {14, 0}}
-	rows, metrics, err := sys.QueryBatchMetered(queries, k, ModeSecure)
+	results, err := sys.QueryBatch(context.Background(), queries, WithK(k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(queries) || len(metrics) != len(queries) {
-		t.Fatalf("batch returned %d rows, %d metrics", len(rows), len(metrics))
+	if len(results) != len(queries) {
+		t.Fatalf("batch returned %d results", len(results))
 	}
-	for i, qm := range metrics {
+	for i, res := range results {
+		qm := res.Metrics
 		if qm == nil || qm.Secure == nil {
 			t.Fatalf("query %d missing secure metrics", i)
 		}
@@ -369,7 +370,7 @@ func TestShardedBatchMetered(t *testing.T) {
 		if qm.Secure.SMINCount == 0 || qm.Secure.Candidates == 0 {
 			t.Errorf("query %d counters empty: %+v", i, qm.Secure)
 		}
-		oracleCheck(t, tbl.Rows, rows[i], queries[i], k)
+		oracleCheck(t, tbl.Rows, res.Rows, queries[i], k)
 	}
 }
 
@@ -387,81 +388,25 @@ func TestBatchMeteredUnsharded(t *testing.T) {
 	}
 	defer sys.Close()
 	queries := [][]uint64{{3, 3}, {12, 1}}
-	_, bm, err := sys.QueryBatchMetered(queries, k, ModeBasic)
+	bres, err := sys.QueryBatch(context.Background(), queries, WithK(k), WithMode(ModeBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, qm := range bm {
-		if qm == nil || qm.Basic == nil || qm.Basic.Total <= 0 {
+	for i, res := range bres {
+		if qm := res.Metrics; qm == nil || qm.Basic == nil || qm.Basic.Total <= 0 {
 			t.Fatalf("basic query %d metrics missing: %+v", i, qm)
 		}
-		if qm.Secure != nil {
+		if res.Metrics.Secure != nil {
 			t.Errorf("basic query %d unexpectedly carries secure metrics", i)
 		}
 	}
-	_, smts, err := sys.QueryBatchMetered(queries, k, ModeSecure)
+	sres, err := sys.QueryBatch(context.Background(), queries, WithK(k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, qm := range smts {
-		if qm == nil || qm.Secure == nil || qm.Secure.SMINCount == 0 {
+	for i, res := range sres {
+		if qm := res.Metrics; qm == nil || qm.Secure == nil || qm.Secure.SMINCount == 0 {
 			t.Fatalf("secure query %d metrics missing: %+v", i, qm)
-		}
-	}
-}
-
-// TestShardedStreamingSerialDifferential pins the facade-level contract
-// of the pipelined gather: in both index modes, a sharded System with
-// the streaming merge (the default) returns the identical top-k
-// distance multiset as one with DisableStreamingMerge set, and both
-// match the plaintext oracle.
-func TestShardedStreamingSerialDifferential(t *testing.T) {
-	const attrBits, k = 5, 3
-	tbl, err := dataset.GenerateClustered(571, 30, 2, attrBits, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := [][]uint64{tbl.Rows[2], {3, 28}}
-	for _, index := range []IndexMode{IndexNone, IndexClustered} {
-		cfg := Config{Key: facadeKey(), Shards: 3, Workers: 2, Index: index, Clusters: 3, Coverage: 8}
-		streaming, err := New(tbl.Rows, attrBits, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer streaming.Close()
-		cfg.DisableStreamingMerge = true
-		serial, err := New(tbl.Rows, attrBits, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer serial.Close()
-		for _, q := range queries {
-			got, err := queryRows(streaming, q, k, ModeSecure)
-			if err != nil {
-				t.Fatalf("index %v streaming: %v", index, err)
-			}
-			want, err := queryRows(serial, q, k, ModeSecure)
-			if err != nil {
-				t.Fatalf("index %v serial: %v", index, err)
-			}
-			ds := func(rows [][]uint64) []uint64 {
-				out := make([]uint64, len(rows))
-				for i, row := range rows {
-					var err error
-					if out[i], err = plainknn.SquaredDistance(row[:len(q)], q); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-				return out
-			}
-			sd, wd := ds(got), ds(want)
-			for i := range sd {
-				if sd[i] != wd[i] {
-					t.Fatalf("index %v q=%v: streaming distances %v, serial %v", index, q, sd, wd)
-				}
-			}
-			oracleCheck(t, tbl.Rows, got, q, k)
 		}
 	}
 }

@@ -187,15 +187,6 @@ type Config struct {
 	// production setting; the classic path exists as the differential
 	// oracle and for ablation benchmarks (cmd/sknnbench -fig pack).
 	DisablePacking bool
-	// DisableStreamingMerge turns off the pipelined scatter-gather on a
-	// sharded system: shard results then gather behind a barrier and
-	// merge serially, the paper-shaped topology that doubles as the
-	// differential oracle for the streaming fold (cmd/sknnbench -fig
-	// stream ablates it). Zero value — streaming ON — is the production
-	// setting; it only takes effect where the pipeline can run at all
-	// (≥2 shards, packing on), so setting this on an unsharded or
-	// packing-off deployment is a no-op.
-	DisableStreamingMerge bool
 	// DisableFixedBase skips building the fixed-base exponentiation
 	// tables that accelerate encryption-nonce generation (r^N = hN^a
 	// with hN precomputed; CRT-split on C2). Zero value = tables ON.
@@ -526,7 +517,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		return fail(fmt.Errorf("sknn: wiring coordinator: %w", err))
 	}
 	sys.coord.SetTuning(tuning)
-	sys.coord.SetStreaming(!cfg.DisableStreamingMerge)
 	return sys, nil
 }
 
