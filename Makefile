@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION := v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test race lint sknnlint sknnlint-json lint-fixtures staticcheck govulncheck fuzz-smoke tools clean
+.PHONY: all build test race lint sknnlint sknnlint-json lint-fixtures staticcheck govulncheck fuzz-smoke tools loc clean
 
 all: build test lint
 
@@ -69,6 +69,17 @@ fuzz-smoke:
 	go test -fuzz=FuzzShardFrame -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzPackDecode -fuzztime=20s ./internal/paillier
 	go test -fuzz=FuzzFixedBaseExp -fuzztime=20s ./internal/paillier
+
+# loc prints the non-test Go line count ROADMAP tracks: every *.go file
+# that is not a _test.go, outside the nested perfbench module and its
+# build directory. Analyzer fixtures under testdata count, as they did
+# when the number was first recorded.
+LOC_FILES := find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+
+loc:
+	@total=$$($(LOC_FILES) | xargs cat | wc -l); \
+	lint=$$($(LOC_FILES) -path './internal/lint/*' | xargs cat | wc -l); \
+	echo "non-test Go lines: $$total (internal/lint: $$lint)"
 
 clean:
 	go clean ./...

@@ -19,11 +19,10 @@
 // "qps" (multi-query throughput), "index" (clustered secure index vs
 // full scan: QPS, recall, SMIN reduction), "shard" (scatter-gather
 // SkNNm across S shard workers: per-shard scan cost, merge overhead,
-// recall), "pack" (2×2 ablation of ciphertext packing and fixed-base
-// exponentiation on a single SkNNm query), and "gateway" (2-tenant
-// serving tier over replicated shards: QPS under contention and
-// mid-run replica kill, sweeping R) are extensions beyond the paper's
-// evaluation.
+// recall), "pack" (classic wire format vs ciphertext packing on a
+// single SkNNm query), and "gateway" (2-tenant serving tier over
+// replicated shards: QPS under contention and mid-run replica kill,
+// sweeping R) are extensions beyond the paper's evaluation.
 package main
 
 import (
@@ -649,11 +648,10 @@ func (b *bench) shard() error {
 	return nil
 }
 
-// pack: 2×2 ablation of this repo's two protocol-level optimizations —
-// ciphertext packing (slotted uplinks + short statistical blinds) and
-// fixed-base exponentiation (windowed h^N randomizers, CRT-split at C2)
-// — on one SkNNm query. Both knobs off is the paper's wire format; both
-// on is the production default.
+// pack: ablation of ciphertext packing (slotted uplinks + short
+// statistical blinds) on one SkNNm query. Classic is the paper's wire
+// format; packing is the production default. Both draw nonces from the
+// fixed-base tables every System builds.
 func (b *bench) pack() error {
 	const m, attrBits, k, keyBits = 6, 4, 3, 512
 	ns := map[string]int{"small": 24, "medium": 64, "paper": 200}
@@ -670,25 +668,21 @@ func (b *bench) pack() error {
 	fig := benchkit.NewFigure(
 		fmt.Sprintf("Pack: SkNNm ablation, n=%d, m=%d, k=%d, K=%d [scale=%s]",
 			n, m, k, keyBits, b.sc.name),
-		"variant (0=classic 1=pack 2=fixed-base 3=both)", "time (s) / QPS / recall (per series)")
+		"variant (0=classic 1=packing)", "time (s) / QPS / recall (per series)")
 	secs := fig.NewSeries("query time (s)")
 	qps := fig.NewSeries("QPS")
 	recall := fig.NewSeries("recall")
-	// EnableFixedBase mutates the shared cached key and cannot be
-	// undone, so the fixed-base-off variants must run first.
 	variants := []struct {
-		name               string
-		disablePack, disFB bool
+		name        string
+		disablePack bool
 	}{
-		{"classic (paper wire format)", true, true},
-		{"packing only", false, true},
-		{"fixed-base only", true, false},
-		{"packing + fixed-base (default)", false, false},
+		{"classic (paper wire format)", true},
+		{"packing (default)", false},
 	}
-	var classic, both float64
+	times := make([]float64, len(variants))
 	for i, v := range variants {
 		sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{
-			Key: b.key(keyBits), DisablePacking: v.disablePack, DisableFixedBase: v.disFB,
+			Key: b.key(keyBits), DisablePacking: v.disablePack,
 		})
 		if err != nil {
 			return err
@@ -704,22 +698,17 @@ func (b *bench) pack() error {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}
 		x := float64(i)
+		times[i] = d.Seconds()
 		secs.Add(x, d.Seconds())
 		qps.Add(x, 1/d.Seconds())
 		recall.Add(x, recallOf(rows, q, oracle))
 		fmt.Printf("  %-32s %8.2fs  recall %.2f\n", v.name, d.Seconds(), recallOf(rows, q, oracle))
-		switch {
-		case v.disablePack && v.disFB:
-			classic = d.Seconds()
-		case !v.disablePack && !v.disFB:
-			both = d.Seconds()
-		}
 	}
 	if err := b.emit(fig, "pack"); err != nil {
 		return err
 	}
-	fmt.Printf("(speedup packing+fixed-base over classic: %.1f×; recall must be 1.0 in every cell)\n",
-		classic/both)
+	fmt.Printf("(speedup packing over classic: %.1f×; recall must be 1.0 in every cell)\n",
+		times[0]/times[1])
 	return nil
 }
 

@@ -190,6 +190,9 @@ func buildBackend(ts tenantSpec) (gateway.Backend, int, string, error) {
 			remotes = append(remotes, rs)
 		}
 		pk := remotes[0].PK()
+		if err := enableFixedBase(pk); err != nil {
+			return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
+		}
 		l := remotes[0].DomainBits()
 		for i, rs := range remotes {
 			if rs.PK().N.Cmp(pk.N) != 0 {
@@ -222,6 +225,9 @@ func buildBackend(ts tenantSpec) (gateway.Backend, int, string, error) {
 
 	snap, err := store.ReadFile(ts.Table)
 	if err != nil {
+		return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
+	}
+	if err := enableFixedBase(snap.PK); err != nil {
 		return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
 	}
 	table, err := core.RestoreTable(snap.PK, snap.Table)

@@ -75,6 +75,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -145,12 +146,28 @@ func cmdKeygen(args []string) {
 	fmt.Fprintf(os.Stderr, "wrote %d-bit private key to %s\n", *bits, *out)
 }
 
+// loadKey reads Alice's private key and builds its fixed-base nonce
+// tables.
 func loadKey(path string) *paillier.PrivateKey {
 	sk, err := store.ReadKeyFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := enableFixedBase(sk); err != nil {
+		log.Fatal(err)
+	}
 	return sk
+}
+
+// enableFixedBase builds a loaded key's fixed-base nonce tables, so every
+// encryption under it skips the full-width r^N exponentiation. Call it
+// once per key, right after loading and before any goroutine shares the
+// key: the tables are installed unsynchronized.
+func enableFixedBase(key interface{ EnableFixedBase(io.Reader) error }) error {
+	if err := key.EnableFixedBase(rand.Reader); err != nil {
+		return fmt.Errorf("fixed-base tables: %w", err)
+	}
+	return nil
 }
 
 func cmdEncrypt(args []string) {
@@ -262,6 +279,9 @@ func cmdC1(args []string) {
 		log.Fatal(err)
 	}
 	pk := snap.PK
+	if err := enableFixedBase(pk); err != nil {
+		log.Fatal(err)
+	}
 	table, err := core.RestoreTable(pk, snap.Table)
 	if err != nil {
 		log.Fatal(err)
@@ -440,6 +460,9 @@ func cmdShard(args []string) {
 	if !snap.Sharded() {
 		log.Fatalf("%s is a whole-table snapshot; run sknnd split first (or serve it with sknnd c1)", *tablePath)
 	}
+	if err := enableFixedBase(snap.PK); err != nil {
+		log.Fatal(err)
+	}
 	table, err := core.RestoreTable(snap.PK, snap.Table)
 	if err != nil {
 		log.Fatal(err)
@@ -523,6 +546,9 @@ func cmdCoord(args []string) {
 		remotes = append(remotes, rs)
 	}
 	pk := remotes[0].PK()
+	if err := enableFixedBase(pk); err != nil {
+		log.Fatal(err)
+	}
 	l := remotes[0].DomainBits()
 	clustered := false
 	for i, rs := range remotes {

@@ -69,9 +69,6 @@ func GenerateKey(rng *mrand.Rand, d int) (*Key, error) {
 	return &Key{d: d, m: m, mInv: inv, rng: rng}, nil
 }
 
-// D returns the point dimension.
-func (k *Key) D() int { return k.d }
-
 // EncryptPoint maps a data point p to its stored form Mᵀ·(p, −½|p|²).
 func (k *Key) EncryptPoint(p []float64) ([]float64, error) {
 	if len(p) != k.d {

@@ -61,16 +61,6 @@ func (pk *PublicKey) FromRaw(v *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{c: new(big.Int).Set(v)}, nil
 }
 
-// MustFromRaw is FromRaw for values already known to be valid (internal
-// composition of results of other homomorphic ops). It panics on nil.
-func (pk *PublicKey) MustFromRaw(v *big.Int) *Ciphertext {
-	ct, err := pk.FromRaw(v)
-	if err != nil {
-		panic(err)
-	}
-	return ct
-}
-
 // Add returns E(a+b mod N) = E(a)*E(b) mod N².
 func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
 	c := new(big.Int).Mul(a.c, b.c)

@@ -34,7 +34,6 @@ var (
 // Common errors returned by this package.
 var (
 	ErrKeyTooSmall        = errors.New("paillier: key size must be at least 64 bits")
-	ErrMessageOutOfRange  = errors.New("paillier: message out of range")
 	ErrInvalidCiphertext  = errors.New("paillier: invalid ciphertext")
 	ErrNilCiphertext      = errors.New("paillier: nil ciphertext")
 	ErrRandomnessExhaust  = errors.New("paillier: could not sample suitable randomness")

@@ -143,7 +143,7 @@ func (rp *Responder) handleSMPack(req *mpc.Message) (*mpc.Message, error) {
 		for t := 0; t < pairs; t++ {
 			h := new(big.Int).Mul(vals[2*t], vals[2*t+1])
 			h.Mod(h, rp.sk.N)
-			hEnc, err := rp.encrypt(h)
+			hEnc, err := rp.sk.Encrypt(rp.rand, h)
 			if err != nil {
 				return nil, fmt.Errorf("smc: packed SM encrypt: %w", err)
 			}
@@ -370,7 +370,7 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 			}
 		}
 		total.Mod(total, rp.sk.N)
-		enc, err := rp.encrypt(total)
+		enc, err := rp.sk.Encrypt(rp.rand, total)
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed SSED encrypt: %w", err)
 		}
@@ -554,7 +554,7 @@ func (rp *Responder) handleSBDPackLsb(req *mpc.Message) (*mpc.Message, error) {
 			return nil, fmt.Errorf("smc: packed SBD group %d: %w", g, err)
 		}
 		for j, y := range vals {
-			bit, err := rp.encrypt(new(big.Int).SetUint64(uint64(y.Bit(0))))
+			bit, err := rp.sk.Encrypt(rp.rand, new(big.Int).SetUint64(uint64(y.Bit(0))))
 			if err != nil {
 				return nil, fmt.Errorf("smc: packed SBD encrypt lsb: %w", err)
 			}
@@ -565,7 +565,7 @@ func (rp *Responder) handleSBDPackLsb(req *mpc.Message) (*mpc.Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed SBD halves group %d: %w", g, err)
 		}
-		rem, err := rp.encrypt(packed)
+		rem, err := rp.sk.Encrypt(rp.rand, packed)
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed SBD encrypt halves: %w", err)
 		}
@@ -702,7 +702,7 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 			return nil, fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
 		}
 		for _, y := range vals {
-			bit, err := rp.encrypt(new(big.Int).SetUint64(uint64(y.Bit(shift))))
+			bit, err := rp.sk.Encrypt(rp.rand, new(big.Int).SetUint64(uint64(y.Bit(shift))))
 			if err != nil {
 				return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
 			}

@@ -216,7 +216,7 @@ func (rp *Responder) handleSBDLsb(req *mpc.Message) (*mpc.Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("smc: SBD decrypt Y[%d]: %w", i, err)
 		}
-		bit, err := rp.encrypt(new(big.Int).SetUint64(uint64(y.Bit(0))))
+		bit, err := rp.sk.Encrypt(rp.rand, new(big.Int).SetUint64(uint64(y.Bit(0))))
 		if err != nil {
 			return nil, fmt.Errorf("smc: SBD encrypt lsb[%d]: %w", i, err)
 		}

@@ -181,11 +181,6 @@ func (rq *Requester) EncryptZero() (*paillier.Ciphertext, error) {
 	return rq.pk.EncryptInt64(rq.rand, 0)
 }
 
-// EncryptOne returns a fresh encryption of 1.
-func (rq *Requester) EncryptOne() (*paillier.Ciphertext, error) {
-	return rq.pk.EncryptInt64(rq.rand, 1)
-}
-
 // roundTrip performs one request/response exchange, validating the reply
 // payload length.
 func (rq *Requester) roundTrip(op mpc.Op, payload []*big.Int, wantLen int) ([]*big.Int, error) {
@@ -219,7 +214,6 @@ func (rq *Requester) rawCiphertexts(vals []*big.Int) ([]*paillier.Ciphertext, er
 type Responder struct {
 	sk   *paillier.PrivateKey
 	rand io.Reader
-	pool *paillier.RandomizerPool // optional precomputed-nonce pool
 }
 
 // NewResponder builds C2's context. If random is nil, crypto/rand.Reader
@@ -229,33 +223,6 @@ func NewResponder(sk *paillier.PrivateKey, random io.Reader) *Responder {
 		random = rand.Reader
 	}
 	return &Responder{sk: sk, rand: random}
-}
-
-// SK exposes the private key to protocol-level responders built on top
-// (internal/core embeds Responder for SkNN-specific steps).
-func (rp *Responder) SK() *paillier.PrivateKey { return rp.sk }
-
-// UsePool makes the responder draw encryption nonces from a
-// precomputed-randomizer pool (see paillier.RandomizerPool). C2's
-// workload is dominated by fresh encryptions, so a warm pool removes
-// one modular exponentiation from every reply element. Pass nil to
-// return to inline nonce generation.
-func (rp *Responder) UsePool(pool *paillier.RandomizerPool) { rp.pool = pool }
-
-// encrypt produces a fresh encryption, via the pool when configured.
-func (rp *Responder) encrypt(m *big.Int) (*paillier.Ciphertext, error) {
-	if rp.pool != nil {
-		return rp.pool.Encrypt(m)
-	}
-	return rp.sk.Encrypt(rp.rand, m)
-}
-
-// rerandomize re-randomizes a ciphertext, via the pool when configured.
-func (rp *Responder) rerandomize(ct *paillier.Ciphertext) (*paillier.Ciphertext, error) {
-	if rp.pool != nil {
-		return rp.pool.Rerandomize(ct)
-	}
-	return rp.sk.Rerandomize(rp.rand, ct)
 }
 
 // Rand returns the responder's randomness source.

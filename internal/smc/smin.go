@@ -204,13 +204,13 @@ func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
 			return nil, fmt.Errorf("smc: SMIN Γ′[%d]: %w", i, err)
 		}
 		mp := rp.sk.ScalarMul(ct, alphaBig)
-		mp, err = rp.rerandomize(mp)
+		mp, err = rp.sk.Rerandomize(rp.rand, mp)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SMIN rerandomize M′[%d]: %w", i, err)
 		}
 		out = append(out, mp.Raw())
 	}
-	encAlpha, err := rp.encrypt(alphaBig)
+	encAlpha, err := rp.sk.Encrypt(rp.rand, alphaBig)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SMIN encrypt α: %w", err)
 	}

@@ -245,13 +245,13 @@ func (rp *Responder) handleSMINBatch(req *mpc.Message) (*mpc.Message, error) {
 				return nil, fmt.Errorf("smc: batched SMIN Γ′[%d][%d]: %w", pi, i, err)
 			}
 			mp := rp.sk.ScalarMul(ct, alphaBig)
-			mp, err = rp.rerandomize(mp)
+			mp, err = rp.sk.Rerandomize(rp.rand, mp)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, mp.Raw())
 		}
-		encAlpha, err := rp.encrypt(alphaBig)
+		encAlpha, err := rp.sk.Encrypt(rp.rand, alphaBig)
 		if err != nil {
 			return nil, err
 		}

@@ -1,22 +1,24 @@
 package sknn
 
 import (
+	"crypto/rand"
 	"fmt"
 	"sort"
 	"testing"
 
 	"sknn/internal/dataset"
+	"sknn/internal/paillier"
 	"sknn/internal/plainknn"
 )
 
 // This file is the end-to-end half of the packed-vs-unpacked conformance
 // suite (the protocol-level half lives in internal/smc): the same SkNNm
-// query runs once with the production tuning (packing + fixed-base, the
-// Config zero value) and once with both disabled (the classic wire
-// format, our differential oracle), across both index modes and both
-// topologies. The two paths must return the same top-k rows, and both
-// must match the plaintext oracle's k-distance multiset exactly —
-// recall 1.0, not approximate.
+// query runs once with the production tuning (packing, the Config zero
+// value) and once with DisablePacking (the classic wire format, our
+// differential oracle), across both index modes and both topologies.
+// The two paths must return the same top-k rows, and both must match
+// the plaintext oracle's k-distance multiset exactly — recall 1.0, not
+// approximate.
 
 // sortedRows canonicalizes a result set for multiset comparison.
 func sortedRows(rows [][]uint64) []string {
@@ -70,7 +72,6 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 				}
 				classicCfg := cfg
 				classicCfg.DisablePacking = true
-				classicCfg.DisableFixedBase = true
 
 				run := func(c Config) [][]uint64 {
 					sys, err := New(tbl.Rows, attrBits, c)
@@ -117,25 +118,32 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 	}
 }
 
-// TestDifferentialConfigKnobs pins the Config wiring itself: the zero
-// value enables both optimizations, and each knob reaches the layer it
-// governs.
+// TestDifferentialConfigKnobs pins the Config wiring itself: New builds
+// the fixed-base nonce tables, the zero value enables packing, and the
+// DisablePacking knob reaches the pool tuning.
 func TestDifferentialConfigKnobs(t *testing.T) {
 	tbl, _ := dataset.Generate(511, 6, 2, 3)
-	on, err := New(tbl.Rows, 3, Config{Key: facadeKey()})
+	// A fresh key, not the shared test key: earlier Systems have already
+	// built tables on that one, so it could not show that New does.
+	fresh, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.FixedBaseEnabled() {
+		t.Fatal("fresh key has fixed-base tables before New")
+	}
+	on, err := New(tbl.Rows, 3, Config{Key: fresh})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer on.Close()
-	if !on.sk.FixedBaseEnabled() {
-		t.Error("zero-value Config left fixed-base disabled")
+	if !fresh.FixedBaseEnabled() {
+		t.Error("New did not build the fixed-base tables")
 	}
 	if !on.c1.Tuning().Packing {
 		t.Error("zero-value Config left packing disabled")
 	}
-	off, err := New(tbl.Rows, 3, Config{
-		Key: facadeKey(), DisablePacking: true, DisableFixedBase: true,
-	})
+	off, err := New(tbl.Rows, 3, Config{Key: facadeKey(), DisablePacking: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,11 +157,6 @@ type Config struct {
 	// are features. This is the layout secure kNN classification uses
 	// (see examples/classifier).
 	FeatureColumns int
-	// UseNoncePool precomputes Paillier encryption nonces for C2 on
-	// background goroutines (paillier.RandomizerPool), trading idle CPU
-	// for much cheaper reply encryption. Off by default so benchmark
-	// numbers reflect the paper's unassisted protocol cost.
-	UseNoncePool bool
 	// Index selects SkNNm's scan strategy: IndexNone (default, paper-
 	// faithful full scan) or IndexClustered (partition-pruned; see the
 	// IndexMode docs for the leakage tradeoff). ModeBasic ignores the
@@ -187,10 +182,6 @@ type Config struct {
 	// production setting; the classic path exists as the differential
 	// oracle and for ablation benchmarks (cmd/sknnbench -fig pack).
 	DisablePacking bool
-	// DisableFixedBase skips building the fixed-base exponentiation
-	// tables that accelerate encryption-nonce generation (r^N = hN^a
-	// with hN precomputed; CRT-split on C2). Zero value = tables ON.
-	DisableFixedBase bool
 	// CompactThreshold is the dirty-fraction bound of the live table:
 	// when (tombstones + inserts since the last clean build) exceeds
 	// this fraction of stored records, the next Insert or Delete
@@ -275,7 +266,6 @@ type System struct {
 	closeErr  error          // valid once closeDone is closed
 	inflight  sync.WaitGroup // in-flight Query/QueryBatch/mutation calls
 	serveWG   sync.WaitGroup
-	pool      *paillier.RandomizerPool // non-nil when Config.UseNoncePool
 }
 
 // New builds a System over the given plaintext table: rows of uint64
@@ -416,25 +406,14 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		compactAt:   cfg.CompactThreshold,
 		closeDone:   make(chan struct{}),
 	}
-	if !cfg.DisableFixedBase {
-		// Build the fixed-base nonce tables before any party holds a
-		// copy of the key: C2's CRT-split tables and the shared public-
-		// key table both hang off unexported pointers set once here.
-		if err := sk.EnableFixedBase(random); err != nil {
-			return nil, fmt.Errorf("sknn: fixed-base tables: %w", err)
-		}
+	// Build the fixed-base nonce tables before any party holds a copy
+	// of the key: C2's CRT-split tables and the shared public-key table
+	// both hang off unexported pointers set once here.
+	if err := sk.EnableFixedBase(random); err != nil {
+		return nil, fmt.Errorf("sknn: fixed-base tables: %w", err)
 	}
 	tuning := smc.Tuning{Packing: !cfg.DisablePacking}
 	c2 := core.NewCloudC2(sk, random)
-	if cfg.UseNoncePool {
-		pool, err := paillier.NewRandomizerPool(&sk.PublicKey, random, 4096)
-		if err != nil {
-			return nil, fmt.Errorf("sknn: nonce pool: %w", err)
-		}
-		pool.Start(2)
-		c2.UsePool(pool)
-		sys.pool = pool
-	}
 	// One in-process C2 serves every link — shard pools and the
 	// coordinator's merge pool alike (its handlers are stateless).
 	newConns := func(n int) []mpc.Conn {
@@ -458,9 +437,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 			sh.Close()
 		}
 		sys.serveWG.Wait()
-		if sys.pool != nil {
-			sys.pool.Close()
-		}
 		return nil, err
 	}
 
@@ -717,9 +693,6 @@ func (s *System) Close() error {
 	}
 	s.closeErr = first
 	s.serveWG.Wait()
-	if s.pool != nil {
-		s.pool.Close()
-	}
 	close(s.closeDone)
 	return s.closeErr
 }
