@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION := v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test race lint sknnlint sknnlint-json lint-fixtures staticcheck govulncheck fuzz-smoke tools loc clean
+.PHONY: all build test race lint sknnlint sknnlint-json lint-fixtures staticcheck govulncheck fuzz-smoke bench-smoke tools loc clean
 
 all: build test lint
 
@@ -69,6 +69,13 @@ fuzz-smoke:
 	go test -fuzz=FuzzShardFrame -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzPackDecode -fuzztime=20s ./internal/paillier
 	go test -fuzz=FuzzFixedBaseExp -fuzztime=20s ./internal/paillier
+	go test -fuzz=FuzzFixedBasePowCRT -fuzztime=20s ./internal/paillier
+
+# bench-smoke runs every Paillier kernel benchmark once, so a benchmark
+# that no longer compiles or fails its own checks shows up in CI; the
+# timings of a single iteration mean nothing.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/paillier/
 
 # loc prints the non-test Go line count ROADMAP tracks: every *.go file
 # that is not a _test.go, outside the nested perfbench module and its

@@ -327,15 +327,13 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 			if err != nil {
 				return nil, fmt.Errorf("core: centroid permutation: %w", err)
 			}
-			tauP := make([]*big.Int, len(live))
-			for i := range live {
-				src := live[perm[i]]
-				tau := pk.Sub(encMin, ds[src])
-				r, err := pk.RandomNonzeroZN(s.primary().Rand())
-				if err != nil {
-					return nil, fmt.Errorf("core: centroid blind: %w", err)
-				}
-				tauP[i] = pk.ScalarMul(tau, r).Raw()
+			permuted := make([]*paillier.Ciphertext, len(live))
+			for i, src := range perm {
+				permuted[i] = ds[live[src]]
+			}
+			tauP, err := s.blindDiffs(encMin, permuted)
+			if err != nil {
+				return nil, fmt.Errorf("core: centroid blind: %w", err)
 			}
 			resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinIndex, Ints: tauP})
 			if err != nil {
@@ -554,19 +552,17 @@ func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*pa
 		// one-hot selector U. The permutation is fresh per iteration and
 		// lives only on this session.
 		phase = time.Now()
-		tauP := make([]*big.Int, n)
 		perm, err := smc.NewPermutation(s.primary().Rand(), n)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d permutation: %w", iter+1, err)
 		}
-		for i := 0; i < n; i++ {
-			src := perm[i]
-			tau := pk.Sub(encMin, ds[src])
-			r, err := pk.RandomNonzeroZN(s.primary().Rand())
-			if err != nil {
-				return nil, fmt.Errorf("core: iteration %d blind: %w", iter+1, err)
-			}
-			tauP[i] = pk.ScalarMul(tau, r).Raw()
+		permuted := make([]*paillier.Ciphertext, n)
+		for i, src := range perm {
+			permuted[i] = ds[src]
+		}
+		tauP, err := s.blindDiffs(encMin, permuted)
+		if err != nil {
+			return nil, fmt.Errorf("core: iteration %d blind: %w", iter+1, err)
 		}
 		resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinSelect, Ints: tauP})
 		if err != nil {
@@ -804,6 +800,28 @@ func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, met
 	}
 	metrics.BitDecom += time.Since(phase)
 	return s.selectTopK(bits, records, ds, k, domainBits, metrics)
+}
+
+// blindDiffs builds a min-select frame from distances already in
+// permuted order: τ′ᵢ = E(rᵢ·(dmin − dᵢ)) for fresh nonzero rᵢ. Each
+// entry is a full-width exponentiation mod N², so the entries are spread
+// across the session's workers, each drawing its rᵢ from its own
+// requester's stream. Callers draw the permutation from the primary
+// requester first; the frame is the one a serial loop would build.
+func (s *QuerySession) blindDiffs(encMin *paillier.Ciphertext, permuted []*paillier.Ciphertext) ([]*big.Int, error) {
+	pk := s.pk
+	out := make([]*big.Int, len(permuted))
+	err := s.parallelOverRecords(len(permuted), func(rq *smc.Requester, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			r, err := pk.RandomNonzeroZN(rq.Rand())
+			if err != nil {
+				return err
+			}
+			out[i] = pk.ScalarMul(pk.Sub(encMin, permuted[i]), r).Raw()
+		}
+		return nil
+	})
+	return out, err
 }
 
 // workerIndex maps a requester back to its slot (for per-worker result

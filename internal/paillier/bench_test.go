@@ -27,18 +27,63 @@ func benchKey(b *testing.B, bits int) *PrivateKey {
 	return sk
 }
 
+// fbBenchKey is a fixed-base bench key pair of its own, so the shared
+// benchKey entries stay table-free: crt carries the private key's CRT
+// tables (what sknn.New and C2 install), public is the same modulus with
+// only the full-width mod-N² table (what a process holding just the
+// public key builds).
+type fbBenchKey struct {
+	crt    *PrivateKey
+	public *PublicKey
+}
+
+var fbBenchKeys sync.Map // bits -> fbBenchKey
+
+func fixedBaseBenchKey(b *testing.B, bits int) fbBenchKey {
+	if k, ok := fbBenchKeys.Load(bits); ok {
+		return k.(fbBenchKey)
+	}
+	sk, err := GenerateKey(rand.Reader, bits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	public := &PublicKey{N: sk.N, NSquared: sk.NSquared}
+	if err := public.EnableFixedBase(rand.Reader); err != nil {
+		b.Fatal(err)
+	}
+	if err := sk.EnableFixedBase(rand.Reader); err != nil {
+		b.Fatal(err)
+	}
+	k := fbBenchKey{crt: sk, public: public}
+	fbBenchKeys.Store(bits, k)
+	return k
+}
+
+// BenchmarkEncrypt times one encryption per nonce path: direct r^N (the
+// shared bench key has no tables), the public mod-N² table, and the CRT
+// tables production encrypts with.
 func BenchmarkEncrypt(b *testing.B) {
 	for _, bits := range []int{512, 1024} {
-		b.Run(fmt.Sprintf("K=%d", bits), func(b *testing.B) {
-			sk := benchKey(b, bits)
-			m := big.NewInt(123456)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sk.Encrypt(rand.Reader, m); err != nil {
-					b.Fatal(err)
+		fb := fixedBaseBenchKey(b, bits)
+		paths := []struct {
+			name string
+			pk   *PublicKey
+		}{
+			{"direct", &benchKey(b, bits).PublicKey},
+			{"public", fb.public},
+			{"crt", &fb.crt.PublicKey},
+		}
+		for _, path := range paths {
+			b.Run(fmt.Sprintf("K=%d/%s", bits, path.name), func(b *testing.B) {
+				m := big.NewInt(123456)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := path.pk.Encrypt(rand.Reader, m); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -85,17 +130,14 @@ func BenchmarkAblationCRTDecrypt(b *testing.B) {
 	})
 }
 
-// BenchmarkFixedBaseExp measures the fixed-base window walk — the
-// Montgomery REDC hot loop — against direct big.Int.Exp of the same
-// base and exponent (the r^N cost the table replaces). The interesting
-// delta over time is table vs itself across commits: the REDC walk
-// removed the per-window division.
+// BenchmarkFixedBaseExp measures the fixed-base nonce power at K=1024:
+// the full-width mod-N² window walk (the Montgomery REDC hot loop), the
+// CRT-split walk over exponents reduced mod p−1 and q−1 (what C2 runs),
+// and direct big.Int.Exp of the same base and exponent (the cost the
+// tables replace).
 func BenchmarkFixedBaseExp(b *testing.B) {
-	sk := benchKey(b, 512)
-	pk := sk.PublicKey // copy: the table stays off the shared bench key
-	if err := pk.EnableFixedBase(rand.Reader); err != nil {
-		b.Fatal(err)
-	}
+	fb := fixedBaseBenchKey(b, 1024)
+	pk := fb.public
 	exps := make([]*big.Int, 64)
 	for i := range exps {
 		e, err := rand.Int(rand.Reader, pk.N)
@@ -105,8 +147,17 @@ func BenchmarkFixedBaseExp(b *testing.B) {
 		exps[i] = e
 	}
 	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, ok := pk.fb.tab.Exp(exps[i%len(exps)]); !ok {
+				b.Fatal("exponent out of range")
+			}
+		}
+	})
+	b.Run("crt", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := fb.crt.fb.pow(exps[i%len(exps)]); !ok {
 				b.Fatal("exponent out of range")
 			}
 		}
@@ -117,6 +168,29 @@ func BenchmarkFixedBaseExp(b *testing.B) {
 			new(big.Int).Exp(hN, exps[i%len(exps)], pk.NSquared)
 		}
 	})
+}
+
+// BenchmarkPackCiphertexts folds a full group of 13-bit slots at K=1024
+// (12 slots of Width 79): 11 Horner steps of 79 squarings each.
+func BenchmarkPackCiphertexts(b *testing.B) {
+	sk := benchKey(b, 1024)
+	codec, err := NewPacking(&sk.PublicKey, 13)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cts := make([]*Ciphertext, codec.Slots)
+	for j := range cts {
+		if cts[j], err = sk.Encrypt(rand.Reader, big.NewInt(int64(j))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codec.PackCiphertexts(cts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkHomomorphicOps(b *testing.B) {

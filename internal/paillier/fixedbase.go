@@ -22,8 +22,13 @@ import (
 // of the exponent: ~⌈bits/w⌉ multiplications instead of ~1.5·bits for
 // square-and-multiply, a ~9× cut. When the table is built from the
 // private key, the evaluation additionally runs CRT-split mod p² and q²
-// (each multiplication on half-width operands costs a quarter), roughly
-// doubling the win again — this is what C2's reply encryptions ride.
+// (each multiplication on half-width operands costs a quarter), and the
+// exponent shrinks with it: Z*_{p²} has order p(p−1) and hN = h^(pq), so
+// hN^(p−1) = (h^(p(p−1)))^q ≡ 1 (mod p²) and hN^a ≡ hN^(a mod (p−1))
+// (mod p²), likewise for q. Each half therefore walks a (K/2)-bit
+// exponent, half the windows of the full-width one, and yields the same
+// element of Z*_{N²} bit for bit — this is what C2's reply encryptions
+// ride.
 
 // fbWindow is the window width in bits. 6 balances table size
 // (⌈bits/6⌉·63 group elements ≈ 3 MB at 1024-bit keys) against the
@@ -72,9 +77,10 @@ func (t *fbTable) Exp(e *big.Int) (*big.Int, bool) {
 	if e.Sign() < 0 || e.BitLen() > t.maxExpBits {
 		return nil, false
 	}
-	// Two accumulators swap roles as Montgomery product destinations, so
-	// the whole walk reuses three buffers and allocates only at growth.
-	var acc, spare, scratch big.Int
+	// Two accumulators swap roles as Montgomery product destinations and
+	// REDC gets two scratch values of its own, so after the first few
+	// windows have grown the four buffers the walk allocates nothing.
+	var acc, spare, s, u big.Int
 	have := false
 	bits := e.BitLen()
 	for i := 0; i*fbWindow < bits; i++ {
@@ -89,54 +95,55 @@ func (t *fbTable) Exp(e *big.Int) (*big.Int, bool) {
 			acc.Set(t.tab[i][d-1])
 			have = true
 		} else {
-			t.mont.mulInto(&spare, &scratch, &acc, t.tab[i][d-1])
+			t.mont.mulInto(&spare, &s, &u, &acc, t.tab[i][d-1])
 			acc, spare = spare, acc
 		}
 	}
 	if !have { // e == 0
 		return big.NewInt(1), true
 	}
-	t.mont.redcInto(&acc, &scratch)
+	t.mont.redcInto(&acc, &s, &u)
 	return &acc, true
 }
 
 // crtFB is the private-key half of the fixed-base state: tables for hN
-// mod p² and q² plus the recombination constant, so C2 evaluates each
-// randomizer on half-width operands.
+// mod p² and q² over exponents reduced mod p−1 and q−1, plus the
+// recombination constant, so C2 evaluates each randomizer on half-width
+// operands and half-width exponents.
 type crtFB struct {
 	pSquared, qSquared *big.Int
+	pMinus1, qMinus1   *big.Int // exponent moduli: hN has order dividing p−1 mod p²
 	q2InvP2            *big.Int // (q²)⁻¹ mod p²
 	tabP, tabQ         *fbTable
 }
 
 // pkFixedBase is the optional fast-randomizer state hung off a
-// PublicKey. Immutable once published by EnableFixedBase.
+// PublicKey. Immutable once published by EnableFixedBase. Exactly one of
+// tab and crt is set: a key enabled through the private key never walks
+// the full-width table, so it does not build one.
 type pkFixedBase struct {
 	hN  *big.Int // h^N mod N²
-	tab *fbTable // base hN mod N²
-	crt *crtFB   // non-nil only when enabled through the private key
+	tab *fbTable // base hN mod N², full-width exponents (public key only)
+	crt *crtFB   // set when enabled through the private key
 }
 
-// pow evaluates hN^a, CRT-split when the private-key tables exist.
+// pow evaluates hN^a mod N². ok is false only on the public table, for
+// exponents outside [0, 2^Bits(N)); the CRT tables cover every a.
 func (fb *pkFixedBase) pow(a *big.Int) (*big.Int, bool) {
-	if fb.crt != nil {
-		xp, ok := fb.crt.tabP.Exp(a)
-		if !ok {
-			return nil, false
-		}
-		xq, ok := fb.crt.tabQ.Exp(a)
-		if !ok {
-			return nil, false
-		}
-		// x = xq + q²·((xp − xq)·(q²)⁻¹ mod p²): x ≡ xp (p²), xq (q²).
-		t := new(big.Int).Sub(xp, xq)
-		t.Mul(t, fb.crt.q2InvP2)
-		t.Mod(t, fb.crt.pSquared)
-		t.Mul(t, fb.crt.qSquared)
-		t.Add(t, xq)
-		return t, true
+	c := fb.crt
+	if c == nil {
+		return fb.tab.Exp(a)
 	}
-	return fb.tab.Exp(a)
+	// a mod (p−1) < p−1 fits tabP by construction, likewise for q.
+	var e big.Int
+	xp, _ := c.tabP.Exp(e.Mod(a, c.pMinus1))
+	xq, _ := c.tabQ.Exp(e.Mod(a, c.qMinus1))
+	// x = xq + q²·((xp − xq)·(q²)⁻¹ mod p²): x ≡ xp (p²), xq (q²).
+	xp.Sub(xp, xq)
+	x := new(big.Int).Mul(xp, c.q2InvP2)
+	xp.Mod(x, c.pSquared)
+	x.Mul(xp, c.qSquared)
+	return x.Add(x, xq), true
 }
 
 // EnableFixedBase installs the fixed-base randomizer state on the public
@@ -148,16 +155,16 @@ func (pk *PublicKey) EnableFixedBase(random io.Reader) error {
 	if pk.fb != nil {
 		return nil
 	}
-	fb, err := pk.buildFixedBase(random)
+	hN, err := pk.fixedBaseGenerator(random)
 	if err != nil {
 		return err
 	}
-	pk.fb = fb
+	pk.fb = &pkFixedBase{hN: hN, tab: newFBTable(hN, pk.NSquared, pk.N.BitLen())}
 	return nil
 }
 
-// buildFixedBase samples h and precomputes the public (mod N²) table.
-func (pk *PublicKey) buildFixedBase(random io.Reader) (*pkFixedBase, error) {
+// fixedBaseGenerator samples a random unit h and returns hN = h^N mod N².
+func (pk *PublicKey) fixedBaseGenerator(random io.Reader) (*big.Int, error) {
 	if random == nil {
 		random = rand.Reader
 	}
@@ -165,34 +172,34 @@ func (pk *PublicKey) buildFixedBase(random io.Reader) (*pkFixedBase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("paillier: fixed-base generator: %w", err)
 	}
-	hN := new(big.Int).Exp(h, pk.N, pk.NSquared)
-	return &pkFixedBase{hN: hN, tab: newFBTable(hN, pk.NSquared, pk.N.BitLen())}, nil
+	return new(big.Int).Exp(h, pk.N, pk.NSquared), nil
 }
 
 // FixedBaseEnabled reports whether the fast randomizer path is active.
 func (pk *PublicKey) FixedBaseEnabled() bool { return pk.fb != nil }
 
-// EnableFixedBase on the private key installs the same public state plus
-// CRT-split tables mod p² and q², the decrypt-side variant C2's reply
-// encryptions use. Same setup-time, single-goroutine contract as the
-// PublicKey method.
+// EnableFixedBase on the private key installs CRT-split tables mod p²
+// and q² in place of the public mod-N² table: the decrypt-side variant
+// C2's reply encryptions use, and every holder of &sk.PublicKey shares
+// it. Same setup-time, single-goroutine contract as the PublicKey
+// method.
 func (sk *PrivateKey) EnableFixedBase(random io.Reader) error {
 	if sk.fb != nil && sk.fb.crt != nil {
 		return nil
 	}
-	fb, err := sk.PublicKey.buildFixedBase(random)
+	hN, err := sk.fixedBaseGenerator(random)
 	if err != nil {
 		return err
 	}
-	bits := sk.N.BitLen()
-	fb.crt = &crtFB{
+	sk.fb = &pkFixedBase{hN: hN, crt: &crtFB{
 		pSquared: sk.pSquared,
 		qSquared: sk.qSquared,
+		pMinus1:  sk.pMinus1,
+		qMinus1:  sk.qMinus1,
 		q2InvP2:  new(big.Int).ModInverse(sk.qSquared, sk.pSquared),
-		tabP:     newFBTable(new(big.Int).Mod(fb.hN, sk.pSquared), sk.pSquared, bits),
-		tabQ:     newFBTable(new(big.Int).Mod(fb.hN, sk.qSquared), sk.qSquared, bits),
-	}
-	sk.fb = fb
+		tabP:     newFBTable(new(big.Int).Mod(hN, sk.pSquared), sk.pSquared, sk.pMinus1.BitLen()),
+		tabQ:     newFBTable(new(big.Int).Mod(hN, sk.qSquared), sk.qSquared, sk.qMinus1.BitLen()),
+	}}
 	return nil
 }
 

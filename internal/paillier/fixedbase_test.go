@@ -94,16 +94,38 @@ func TestFBTableRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// fbKey1024 is a production-size key with the CRT fixed-base state, for
+// the checks whose subject is the K=1024 hot path C2 runs.
+var fbKey1024 = sync.OnceValue(func() *PrivateKey {
+	sk, err := GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		panic(err)
+	}
+	if err := sk.EnableFixedBase(rand.Reader); err != nil {
+		panic(err)
+	}
+	return sk
+})
+
 // TestFixedBasePowCRTMatchesDirect pins the CRT-split evaluation (tables
-// mod p² and q² plus recombination) against direct exponentiation of hN
-// mod N² — the correctness of every randomizer C2 emits.
+// mod p² and q² over exponents reduced mod p−1 and q−1, plus
+// recombination) against direct exponentiation of hN mod N² on a
+// 1024-bit key — the correctness of every randomizer C2 emits. The edge
+// exponents sit on and around the reduction moduli and the primes.
 func TestFixedBasePowCRTMatchesDirect(t *testing.T) {
-	sk := fbKey()
+	sk := fbKey1024()
 	hN := sk.FixedBaseHN()
 	if hN == nil {
-		t.Fatal("fixed-base state missing on fbKey")
+		t.Fatal("fixed-base state missing on fbKey1024")
 	}
-	exps := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(sk.N, big.NewInt(1))}
+	p, q := sk.Factors()
+	add := func(x *big.Int, d int64) *big.Int { return new(big.Int).Add(x, big.NewInt(d)) }
+	exps := []*big.Int{
+		big.NewInt(0), big.NewInt(1),
+		add(p, -2), add(p, -1), p,
+		add(q, -1), q,
+		add(sk.N, -1),
+	}
 	rng := mrand.New(mrand.NewSource(3))
 	for i := 0; i < 20; i++ {
 		exps = append(exps, new(big.Int).Rand(rng, sk.N))
@@ -117,6 +139,25 @@ func TestFixedBasePowCRTMatchesDirect(t *testing.T) {
 		if got.Cmp(want) != 0 {
 			t.Errorf("CRT pow(%v) diverges from direct exponentiation", a)
 		}
+	}
+}
+
+// TestFixedBaseEncryptAllocs bounds the allocations of one fixed-base
+// encryption at K=1024: the window walk and REDC reuse their buffers, so
+// what is left is the exponent draw, the CRT recombination and the
+// ciphertext itself (30 allocations when the bound was set; a REDC whose
+// products alias their destination costs ~700).
+func TestFixedBaseEncryptAllocs(t *testing.T) {
+	sk := fbKey1024()
+	m := big.NewInt(123456)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sk.Encrypt(rand.Reader, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("sk.Encrypt: %.0f allocations per call", allocs)
+	if allocs > 64 {
+		t.Errorf("sk.Encrypt with fixed-base tables: %.0f allocations per call, want ≤ 64", allocs)
 	}
 }
 
@@ -201,6 +242,32 @@ func FuzzFixedBaseExp(f *testing.F) {
 		}
 		if want := new(big.Int).Exp(big.NewInt(3), e, mod); got.Cmp(want) != 0 {
 			t.Fatalf("table Exp diverges from big.Int.Exp for e=%v", e)
+		}
+	})
+}
+
+// FuzzFixedBasePowCRT cross-checks the CRT-split randomizer power against
+// big.Int.Exp of hN mod N² for arbitrary non-negative exponents: the
+// reduction mod p−1 and q−1 accepts any width, so every input must be
+// in range and agree exactly.
+func FuzzFixedBasePowCRT(f *testing.F) {
+	sk := fbKey()
+	hN := sk.FixedBaseHN()
+	p, q := sk.Factors()
+	f.Add([]byte{})
+	f.Add([]byte{0x01})
+	f.Add(new(big.Int).Sub(p, big.NewInt(1)).Bytes())
+	f.Add(q.Bytes())
+	f.Add(new(big.Int).Sub(sk.N, big.NewInt(1)).Bytes())
+	f.Add(sk.NSquared.Bytes())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		a := new(big.Int).SetBytes(raw)
+		got, ok := sk.PublicKey.FixedBasePow(a)
+		if !ok {
+			t.Fatalf("%d-bit exponent rejected by the CRT tables", a.BitLen())
+		}
+		if want := new(big.Int).Exp(hN, a, sk.NSquared); got.Cmp(want) != 0 {
+			t.Fatalf("CRT pow diverges from big.Int.Exp for a=%v", a)
 		}
 	})
 }

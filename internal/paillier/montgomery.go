@@ -47,13 +47,16 @@ func newMontCtx(mod *big.Int) (*montCtx, bool) {
 // redcInto reduces 0 ≤ t < m·R to t·R⁻¹ mod m in place, without
 // division: with u = (t mod R)·(−m⁻¹) mod R, the sum t + u·m is
 // divisible by R and (t + u·m)/R < 2m, so one conditional subtraction
-// finishes. s is caller-owned scratch (distinct from t); both keep
-// their grown buffers, so a loop reusing them allocates nothing.
-func (mc *montCtx) redcInto(t, s *big.Int) {
+// finishes. s and u are caller-owned scratch, distinct from t and from
+// each other: math/big allocates a fresh result whenever a product's
+// destination aliases an operand, so the two products alternate between
+// them. All three keep their grown buffers, so a loop reusing them
+// allocates nothing.
+func (mc *montCtx) redcInto(t, s, u *big.Int) {
 	s.And(t, mc.mask)
-	s.Mul(s, mc.mInv)
-	s.And(s, mc.mask)
-	s.Mul(s, mc.mod)
+	u.Mul(s, mc.mInv)
+	u.And(u, mc.mask)
+	s.Mul(u, mc.mod)
 	t.Add(t, s)
 	t.Rsh(t, mc.shift)
 	if t.Cmp(mc.mod) >= 0 {
@@ -61,28 +64,21 @@ func (mc *montCtx) redcInto(t, s *big.Int) {
 	}
 }
 
-// mulInto sets dst = a·b·R⁻¹ mod m (the Montgomery product) using s as
-// scratch. dst and s must not alias a or b.
-func (mc *montCtx) mulInto(dst, s, a, b *big.Int) {
+// mulInto sets dst = a·b·R⁻¹ mod m (the Montgomery product) using s and
+// u as scratch. dst, s and u must not alias a, b or each other.
+func (mc *montCtx) mulInto(dst, s, u, a, b *big.Int) {
 	dst.Mul(a, b)
-	mc.redcInto(dst, s)
+	mc.redcInto(dst, s, u)
 }
 
 // mul is the allocating form of mulInto, for setup-time use.
 func (mc *montCtx) mul(a, b *big.Int) *big.Int {
 	dst := new(big.Int)
-	mc.mulInto(dst, new(big.Int), a, b)
+	mc.mulInto(dst, new(big.Int), new(big.Int), a, b)
 	return dst
 }
 
 // toMont converts x (a plain residue mod m) into Montgomery form x·R.
 func (mc *montCtx) toMont(x *big.Int) *big.Int {
 	return mc.mul(x, mc.rr)
-}
-
-// fromMont converts Montgomery form back to the plain residue.
-func (mc *montCtx) fromMont(x *big.Int) *big.Int {
-	t := new(big.Int).Set(x)
-	mc.redcInto(t, new(big.Int))
-	return t
 }

@@ -32,6 +32,7 @@ type Packing struct {
 	Slots int
 
 	mask *big.Int // 2^Width − 1
+	mont *montCtx // mod N², for PackCiphertexts' squaring chain
 }
 
 // PackHeadroom is the per-slot spare capacity: σ = 64 bits of statistical
@@ -62,9 +63,13 @@ func NewPacking(pk *PublicKey, valueBits int) (*Packing, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("%w: %d-bit slots in a %d-bit plaintext", ErrPackWidth, width, pk.Bits())
 	}
+	mc, ok := newMontCtx(pk.NSquared)
+	if !ok {
+		return nil, fmt.Errorf("%w: modulus N² is not odd", ErrPackWidth)
+	}
 	mask := new(big.Int).Lsh(one, uint(width))
 	mask.Sub(mask, one)
-	return &Packing{pk: pk, ValueBits: valueBits, Width: width, Slots: slots, mask: mask}, nil
+	return &Packing{pk: pk, ValueBits: valueBits, Width: width, Slots: slots, mask: mask, mont: mc}, nil
 }
 
 // Groups reports how many packed plaintexts carry n values.
@@ -133,19 +138,33 @@ func (p *Packing) UnpackDecrypt(sk *PrivateKey, ct *Ciphertext, count int) ([]*b
 // (cached table rows, SBD remainders living across l rounds). Slot
 // values must be below 2^Width for the layout to hold — the caller's
 // invariant, untestable under encryption.
+//
+// Each ^(2^W) is W Montgomery squarings on two buffers that swap roles,
+// not a big.Int.Exp, which for a two-word exponent would build a window
+// table and square through every bit of both words.
 func (p *Packing) PackCiphertexts(cts []*Ciphertext) (*Ciphertext, error) {
 	if len(cts) < 1 || len(cts) > p.Slots {
 		return nil, fmt.Errorf("%w: %d ciphertexts into %d slots", ErrPackCount, len(cts), p.Slots)
 	}
-	shift := new(big.Int).Lsh(one, uint(p.Width))
-	acc := cts[len(cts)-1].c
-	for j := len(cts) - 2; j >= 0; j-- {
-		next := new(big.Int).Exp(acc, shift, p.pk.NSquared)
-		next.Mul(next, cts[j].c)
-		acc = next.Mod(next, p.pk.NSquared)
+	if len(cts) == 1 {
+		return &Ciphertext{c: new(big.Int).Set(cts[0].c)}, nil
 	}
-	if acc == cts[len(cts)-1].c {
-		acc = new(big.Int).Set(acc)
+	mc := p.mont
+	acc, spare := mc.toMont(cts[len(cts)-1].c), new(big.Int)
+	var s, u big.Int
+	for j := len(cts) - 2; j >= 0; j-- {
+		for i := 0; i < p.Width; i++ {
+			mc.mulInto(spare, &s, &u, acc, acc)
+			acc, spare = spare, acc
+		}
+		// Mont(A)·cⱼ·R⁻¹ = A·cⱼ is a plain residue: the last step needs
+		// no conversion out, earlier ones convert back in by R² mod N².
+		mc.mulInto(spare, &s, &u, acc, cts[j].c)
+		acc, spare = spare, acc
+		if j > 0 {
+			mc.mulInto(spare, &s, &u, acc, mc.rr)
+			acc, spare = spare, acc
+		}
 	}
 	return &Ciphertext{c: acc}, nil
 }
@@ -159,25 +178,4 @@ func (p *Packing) AddPacked(ct *Ciphertext, vals []*big.Int) (*Ciphertext, error
 		return nil, err
 	}
 	return p.pk.AddPlain(ct, m), nil
-}
-
-// SubPackedWithOffset computes, slotwise, aⱼ − bⱼ + offsetⱼ for packed
-// ciphertexts a and b and plaintext offsets: E(a)·Inv(E(b))·(1+mN) with
-// m the packed offsets. Offsets must make every result slot land in
-// [0, 2^Width) — the usual choice is 2^ValueBits + blindⱼ, which clears
-// the subtraction's borrow and hides the difference statistically.
-func (p *Packing) SubPackedWithOffset(a, b *Ciphertext, offsets []*big.Int) (*Ciphertext, error) {
-	m, err := p.Pack(offsets)
-	if err != nil {
-		return nil, err
-	}
-	return p.pk.AddPlain(p.pk.Add(a, p.pk.Inv(b)), m), nil
-}
-
-// ScalarMulPacked multiplies every slot by k: one ScalarMul on the
-// packed ciphertext. The caller guarantees each k·slot stays below
-// 2^Width (or, as in SBD's halving with k = 2⁻¹ mod N, that every slot
-// is even so the division is exact).
-func (p *Packing) ScalarMulPacked(ct *Ciphertext, k *big.Int) *Ciphertext {
-	return p.pk.ScalarMul(ct, k)
 }

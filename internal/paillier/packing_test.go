@@ -153,8 +153,56 @@ func TestPackCiphertextsMatchesPackEncrypt(t *testing.T) {
 	}
 }
 
-// TestSlotwiseHomomorphicOps covers AddPacked and ScalarMulPacked staying
-// inside their slots when the caller honors the width contract.
+// TestPackCiphertextsMatchesReferenceHorner pins the Montgomery squaring
+// chain to the group element, not just the plaintext: for every slot
+// count the fold must equal Horner's rule evaluated with big.Int.Exp by
+// 2^Width mod N², bit for bit. Two value widths cover a one-word and a
+// multi-word 2^Width exponent on the reference side.
+func TestPackCiphertextsMatchesReferenceHorner(t *testing.T) {
+	sk := testKey()
+	for _, valueBits := range []int{1, 40} {
+		codec, err := NewPacking(&sk.PublicKey, valueBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts := make([]*Ciphertext, codec.Slots)
+		for j := range cts {
+			ct, err := sk.Encrypt(rand.Reader, big.NewInt(int64(j+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts[j] = ct
+		}
+		shift := new(big.Int).Lsh(big.NewInt(1), uint(codec.Width))
+		for n := 1; n <= codec.Slots; n++ {
+			want := new(big.Int).Set(cts[n-1].Raw())
+			for j := n - 2; j >= 0; j-- {
+				want.Exp(want, shift, sk.NSquared)
+				want.Mul(want, cts[j].Raw())
+				want.Mod(want, sk.NSquared)
+			}
+			got, err := codec.PackCiphertexts(cts[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Raw().Cmp(want) != 0 {
+				t.Errorf("valueBits=%d, %d slots: packed element differs from the big.Int.Exp Horner fold", valueBits, n)
+			}
+		}
+		// A one-element fold must hand back a copy: mutating the result
+		// may not reach the caller's ciphertext.
+		one, err := codec.PackCiphertexts(cts[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.c == cts[0].c {
+			t.Errorf("valueBits=%d: one-element fold aliases its input", valueBits)
+		}
+	}
+}
+
+// TestSlotwiseHomomorphicOps covers AddPacked staying inside its slots
+// when the caller honors the width contract.
 func TestSlotwiseHomomorphicOps(t *testing.T) {
 	codec, sk := packCodec(t, 8)
 	vals := []*big.Int{big.NewInt(3), big.NewInt(250), big.NewInt(77)}
@@ -177,23 +225,14 @@ func TestSlotwiseHomomorphicOps(t *testing.T) {
 			t.Errorf("AddPacked slot %d: got %v, want %v", j, got[j], want)
 		}
 	}
-	tripled := codec.ScalarMulPacked(ct, big.NewInt(3))
-	got, err = codec.UnpackDecrypt(sk, tripled, len(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range vals {
-		want := new(big.Int).Mul(vals[j], big.NewInt(3))
-		if got[j].Cmp(want) != 0 {
-			t.Errorf("ScalarMulPacked slot %d: got %v, want %v", j, got[j], want)
-		}
-	}
 }
 
 // TestSubPackedWithOffsetHeadroom is the headroom regression: a slotwise
 // subtraction that borrows (aⱼ < bⱼ) must be absorbed entirely by that
 // slot's offset — the neighbor slots' values stay bit-exact. A headroom
-// narrower than the blind would let the borrow ripple into slot j+1.
+// narrower than the blind would let the borrow ripple into slot j+1. The
+// subtraction is built the way SSEDManyPacked builds it: E(a)·Inv(E(b))
+// with the packed offsets added through AddPacked.
 func TestSubPackedWithOffsetHeadroom(t *testing.T) {
 	codec, sk := packCodec(t, 8)
 	if codec.Slots < 3 {
@@ -218,7 +257,7 @@ func TestSubPackedWithOffsetHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := codec.SubPackedWithOffset(cta, ctb, offsets)
+	diff, err := codec.AddPacked(sk.Add(cta, sk.Inv(ctb)), offsets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,6 +87,11 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 		return nil, fmt.Errorf("sknn: snapshot domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
 			snap.DomainBits, snap.AttrBits, snap.Table.FeatureM, want)
 	}
+	random := wrapRandom(cfg.Random)
+	// As in New: tables before any party holds a copy of the key.
+	if err := sk.EnableFixedBase(random); err != nil {
+		return nil, fmt.Errorf("sknn: fixed-base tables: %w", err)
+	}
 	tbl, err := core.RestoreTable(&sk.PublicKey, snap.Table)
 	if err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
@@ -94,5 +99,5 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 	if cfg.Index == IndexClustered && !tbl.Clustered() {
 		return nil, fmt.Errorf("sknn: snapshot has no cluster index (a loaded table cannot be clustered without plaintext)")
 	}
-	return assemble(sk, tbl, snap.AttrBits, snap.DomainBits, cfg, wrapRandom(cfg.Random))
+	return assemble(sk, tbl, snap.AttrBits, snap.DomainBits, cfg, random)
 }

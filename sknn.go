@@ -291,6 +291,13 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("sknn: generating key: %w", err)
 		}
 	}
+	// Build the fixed-base nonce tables before any party holds a copy
+	// of the key, and before the table's encryptions draw their nonces:
+	// C2's CRT-split tables and the shared public key both hang off an
+	// unexported pointer set once here.
+	if err := sk.EnableFixedBase(random); err != nil {
+		return nil, fmt.Errorf("sknn: fixed-base tables: %w", err)
+	}
 
 	encTable, err := core.EncryptTable(random, &sk.PublicKey, tbl.Rows)
 	if err != nil {
@@ -405,12 +412,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		coverage:    cfg.Coverage,
 		compactAt:   cfg.CompactThreshold,
 		closeDone:   make(chan struct{}),
-	}
-	// Build the fixed-base nonce tables before any party holds a copy
-	// of the key: C2's CRT-split tables and the shared public-key table
-	// both hang off unexported pointers set once here.
-	if err := sk.EnableFixedBase(random); err != nil {
-		return nil, fmt.Errorf("sknn: fixed-base tables: %w", err)
 	}
 	tuning := smc.Tuning{Packing: !cfg.DisablePacking}
 	c2 := core.NewCloudC2(sk, random)
